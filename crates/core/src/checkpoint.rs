@@ -61,7 +61,7 @@ use hka_audit::AuditConfig;
 use hka_faults::{sites, FaultInjector, FaultKind};
 use hka_geo::{Point, Rect, TimeSec};
 use hka_obs::checkpoint::{
-    anchor_payload, scan_anchors, truncate_to_anchor, CheckpointAnchor, Snapshot,
+    anchor_payload, scan_anchors, sync_parent_dir, truncate_to_anchor, CheckpointAnchor, Snapshot,
 };
 use hka_obs::{Json, CHECKPOINT_KIND};
 use hka_trajectory::UserId;
@@ -655,9 +655,10 @@ impl Checkpointer {
         hka_obs::global().counter("ts.checkpoint_failures").incr();
     }
 
-    /// Stages the snapshot atomically: temp file + fsync + rename, with
-    /// fault injection at `snapshot.write` (which may tear the temp
-    /// file) and `snapshot.rename` (which orphans a fully-written temp).
+    /// Stages the snapshot atomically: temp file + fsync + rename +
+    /// directory fsync, with fault injection at `snapshot.write` (which
+    /// may tear the temp file) and `snapshot.rename` (which orphans a
+    /// fully-written temp).
     /// Either failure leaves the published snapshot path untouched.
     fn write_staged(&self, snapshot: &Snapshot, path: &Path) -> io::Result<String> {
         std::fs::create_dir_all(&self.dir)?;
@@ -681,6 +682,7 @@ impl Checkpointer {
             return Err(injected(sites::SNAPSHOT_RENAME));
         }
         std::fs::rename(&tmp, path)?;
+        sync_parent_dir(path)?;
         Ok(snapshot.content_hash())
     }
 

@@ -48,7 +48,6 @@ mod policy;
 mod randomize;
 mod server;
 mod service;
-mod shared;
 pub mod strategy;
 
 pub use envelope::{
@@ -72,5 +71,4 @@ pub use server::{
     PrivacyIndicator, RequestOutcome, ServerMode, SuppressReasonPub, TrustedServer, TsConfig,
     TsError,
 };
-pub use shared::SharedTrustedServer;
 pub use strategy::{Disclosure, Ingest, PatternState, RequestHost, UserState};

@@ -40,7 +40,7 @@ impl Default for CityConfig {
 /// Homes occupy the western residential band, offices the eastern
 /// commercial band (so commutes have non-trivial length); POIs are spread
 /// everywhere. All placement is deterministic given the RNG.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct City {
     /// The city limits.
     pub bounds: Rect,

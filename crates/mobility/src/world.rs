@@ -79,7 +79,7 @@ pub struct World {
     /// All agents (commuters first, then roamers, then POI regulars).
     pub agents: Vec<Agent>,
     /// All events, sorted by time (ties: by user, locations before
-    /// requests).
+    /// requests); empty for a [population](World::population).
     pub events: Vec<Event>,
 }
 
@@ -89,9 +89,20 @@ pub const ANCHOR_SERVICE: u32 = 1;
 pub const BACKGROUND_SERVICE: u32 = 0;
 
 impl World {
-    /// Generates the world deterministically from the config.
+    /// Generates the world deterministically from the config: the
+    /// [population](World::population), then its simulated events.
     pub fn generate(cfg: &WorldConfig) -> World {
         assert!(cfg.days > 0, "need at least one day");
+        let mut world = World::population(cfg);
+        world.events = world.synthesize_events(cfg);
+        world
+    }
+
+    /// The city and its agents, without any events: everything a trusted
+    /// server knows before the first location update arrives. Makes every
+    /// draw of the master RNG, so its `city` and `agents` are exactly
+    /// those of [`World::generate`] on the same config, whatever `days`.
+    pub fn population(cfg: &WorldConfig) -> World {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let city = City::generate(&cfg.city, &mut rng);
         let mut agents = Vec::new();
@@ -146,20 +157,31 @@ impl World {
             });
             next_user += 1;
         }
+        World {
+            city,
+            agents,
+            events: Vec::new(),
+        }
+    }
 
+    /// Simulates every agent for `cfg.days` days and returns the
+    /// time-sorted event stream. Each agent draws from its own RNG seeded
+    /// from `cfg.seed` and its user id, so the stream depends on the
+    /// population and the config only, never on the master RNG.
+    fn synthesize_events(&self, cfg: &WorldConfig) -> Vec<Event> {
         // Per-sample background request probability.
         let p_bg =
             (cfg.background_request_rate * cfg.sample_interval as f64 / 3_600.0).clamp(0.0, 1.0);
 
         let mut events = Vec::new();
-        for agent in &agents {
+        for agent in &self.agents {
             // A per-agent stream derived from the master seed keeps agents
             // independent of each other's sampling order.
             let mut arng = StdRng::seed_from_u64(
                 cfg.seed ^ (agent.user.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             );
             for day in 0..cfg.days {
-                let trace = agent.simulate_day(&city, day, cfg.sample_interval, &mut arng);
+                let trace = agent.simulate_day(&self.city, day, cfg.sample_interval, &mut arng);
                 for s in &trace.samples {
                     events.push(Event {
                         user: agent.user,
@@ -201,11 +223,7 @@ impl World {
                 },
             )
         });
-        World {
-            city,
-            agents,
-            events,
-        }
+        events
     }
 
     /// Builds the trajectory store the trusted server would hold after
@@ -223,28 +241,33 @@ impl World {
         store
     }
 
+    /// The agent with id `user`. Generated agents sit at the index of
+    /// their id, so this is O(1); a vector edited out of that order falls
+    /// back to a scan.
+    fn agent(&self, user: UserId) -> Option<&Agent> {
+        usize::try_from(user.raw())
+            .ok()
+            .and_then(|i| self.agents.get(i))
+            .filter(|a| a.user == user)
+            .or_else(|| self.agents.iter().find(|a| a.user == user))
+    }
+
     /// The home rectangle of an agent, if it has one.
     pub fn home_of(&self, user: UserId) -> Option<Rect> {
-        self.agents
-            .iter()
-            .find(|a| a.user == user)
-            .and_then(|a| match &a.role {
-                Role::Commuter { home, .. } | Role::PoiRegular { home, .. } => {
-                    Some(self.city.homes[*home])
-                }
-                Role::Roamer { .. } => None,
-            })
+        self.agent(user).and_then(|a| match &a.role {
+            Role::Commuter { home, .. } | Role::PoiRegular { home, .. } => {
+                Some(self.city.homes[*home])
+            }
+            Role::Roamer { .. } => None,
+        })
     }
 
     /// The office rectangle of a commuter.
     pub fn office_of(&self, user: UserId) -> Option<Rect> {
-        self.agents
-            .iter()
-            .find(|a| a.user == user)
-            .and_then(|a| match &a.role {
-                Role::Commuter { office, .. } => Some(self.city.offices[*office]),
-                _ => None,
-            })
+        self.agent(user).and_then(|a| match &a.role {
+            Role::Commuter { office, .. } => Some(self.city.offices[*office]),
+            _ => None,
+        })
     }
 
     /// All commuter user ids.
@@ -354,6 +377,68 @@ mod tests {
         let a = World::generate(&small());
         let b = World::generate(&WorldConfig { seed: 8, ..small() });
         assert_ne!(a.events, b.events);
+    }
+
+    #[test]
+    fn population_is_the_generated_city_and_agents() {
+        for seed in [0, 7, 42, 0xDEAD_BEEF] {
+            for (n_commuters, n_roamers, n_poi_regulars) in [(0, 0, 0), (3, 4, 2), (12, 60, 6)] {
+                let base = WorldConfig {
+                    seed,
+                    n_commuters,
+                    n_roamers,
+                    n_poi_regulars,
+                    ..small()
+                };
+                let population = World::population(&base);
+                assert!(population.events.is_empty());
+                for days in [1, 2, 5] {
+                    let world = World::generate(&WorldConfig {
+                        days,
+                        ..base.clone()
+                    });
+                    assert_eq!(population.city, world.city, "seed {seed} days {days}");
+                    assert_eq!(population.agents, world.agents, "seed {seed} days {days}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn generated_events_are_pinned() {
+        // A digest of the whole stream: any change to the draw order of
+        // the population or of event synthesis moves it.
+        let mut text = String::new();
+        for e in &World::generate(&small()).events {
+            let kind = match e.kind {
+                EventKind::Location => "loc".to_string(),
+                EventKind::Request { service } => format!("req{service}"),
+            };
+            text.push_str(&format!(
+                "{} {:016x} {:016x} {} {kind}\n",
+                e.user.raw(),
+                e.at.pos.x.to_bits(),
+                e.at.pos.y.to_bits(),
+                e.at.t.0,
+            ));
+        }
+        assert_eq!(
+            hka_obs::sha256::sha256_hex(text.as_bytes()),
+            "d917192ca85eee699893252546a246700ede54de4bdd3f6802e92758ab867369"
+        );
+    }
+
+    #[test]
+    fn agent_lookup_falls_back_when_ids_are_not_dense() {
+        let mut w = World::population(&small());
+        let commuter = w.commuters().next().unwrap();
+        let home = w.home_of(commuter);
+        let office = w.office_of(commuter);
+        w.agents.reverse();
+        assert_eq!(w.agent(commuter).map(|a| a.user), Some(commuter));
+        assert_eq!(w.home_of(commuter), home);
+        assert_eq!(w.office_of(commuter), office);
+        assert!(w.agent(UserId(1_000)).is_none());
     }
 
     #[test]

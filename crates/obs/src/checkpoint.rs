@@ -158,7 +158,8 @@ impl Snapshot {
 
 /// Writes `snapshot` to `path` crash-safely: the canonical bytes go to
 /// a sibling temp file, are fsynced, and the temp file is atomically
-/// renamed over `path`. A crash at any point leaves either the old file
+/// renamed over `path`, and the directory is fsynced so the rename
+/// itself is durable. A crash at any point leaves either the old file
 /// (or nothing) or the complete new file — never a torn snapshot at the
 /// final path. Returns the content hash of the written bytes.
 pub fn write_atomic(snapshot: &Snapshot, path: &Path) -> io::Result<String> {
@@ -171,7 +172,25 @@ pub fn write_atomic(snapshot: &Snapshot, path: &Path) -> io::Result<String> {
         file.sync_data()?;
     }
     std::fs::rename(&tmp, path)?;
+    sync_parent_dir(path)?;
     Ok(sha256_hex(bytes.as_bytes()))
+}
+
+/// Fsyncs the directory that holds `path`. A rename (or a create) is a
+/// change to the directory, not to the file: until the directory is
+/// synced a power loss can undo it even though the file's own bytes were
+/// synced. Call it after every rename that later writes depend on.
+pub fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    // Only Unix lets a directory be opened and fsynced; elsewhere the
+    // rename is as durable as the platform makes it.
+    if cfg!(unix) {
+        std::fs::File::open(dir)?.sync_all()?;
+    }
+    Ok(())
 }
 
 /// A parsed, validated checkpoint anchor: the payload of a `checkpoint`
@@ -311,9 +330,9 @@ pub fn scan_anchors(path: &Path) -> io::Result<Vec<CheckpointAnchor>> {
 /// Truncates a journal down to the suffix that starts at the checkpoint
 /// record with sequence `anchor_records`, crash-safely: the suffix is
 /// written to a temp file, fsynced, and atomically renamed over the
-/// journal. The dropped prefix is returned so callers can archive it.
-/// Fails (journal untouched) if no checkpoint record with that sequence
-/// exists in the file.
+/// journal, and the directory is fsynced. The dropped prefix is
+/// returned so callers can archive it. Fails (journal untouched) if no
+/// checkpoint record with that sequence exists in the file.
 pub fn truncate_to_anchor(path: &Path, anchor_records: u64) -> io::Result<Vec<u8>> {
     let bytes = std::fs::read(path)?;
     let mut offset = 0usize;
@@ -349,6 +368,7 @@ pub fn truncate_to_anchor(path: &Path, anchor_records: u64) -> io::Result<Vec<u8
         file.sync_data()?;
     }
     std::fs::rename(&tmp, path)?;
+    sync_parent_dir(path)?;
     Ok(bytes[..cut].to_vec())
 }
 
@@ -394,6 +414,23 @@ mod tests {
         snap2.set_section("audit", Json::obj([("events", Json::Int(7))]));
         snap2.set_section("store", Json::obj([("users", Json::Int(3))]));
         assert_eq!(snap2.encode(), encoded);
+    }
+
+    #[test]
+    fn write_atomic_into_a_fresh_directory_round_trips() {
+        let dir = std::env::temp_dir().join(format!("hka-checkpoint-{}-fresh", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("checkpoint-1.snap");
+        let mut snap = Snapshot::new(1, "cc".repeat(32));
+        snap.set_section("y", Json::Int(2));
+        let hash = write_atomic(&snap, &path).unwrap();
+        assert_eq!(hash, snap.content_hash());
+        assert_eq!(Snapshot::read(&path).unwrap(), (snap, hash));
+        assert!(!path.with_extension("tmp").exists());
+        // A bare file name syncs the current directory.
+        sync_parent_dir(Path::new("bare-name")).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

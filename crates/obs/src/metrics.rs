@@ -217,7 +217,7 @@ pub struct MetricsRegistry {
 }
 
 /// `std` locks poison on panic; metrics must survive a panicking test
-/// thread, so recover the guard (parking_lot semantics).
+/// thread, so recover the guard (poison-free semantics).
 macro_rules! lock {
     ($guard:expr) => {
         $guard.unwrap_or_else(|e| e.into_inner())

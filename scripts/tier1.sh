@@ -24,6 +24,9 @@ cargo test -q
 echo "== workspace tests =="
 cargo test -q --workspace
 
+echo "== perfbench unit tests (a package outside the workspace) =="
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

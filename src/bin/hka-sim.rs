@@ -19,8 +19,8 @@
 //! hka-sim watch    JOURNAL [--snapshot FILE] [--interval-ms N]
 //!                  [--idle-exit N] [--json] [--report FILE]
 //!                  [--space-tol M2] [--time-tol SECS] [--sample-cap N]
-//! hka-sim serve    [--addr HOST:PORT] [--seed N] [--days N] [--commuters N]
-//!                  [--roamers N] [--k N] [--shards N] [--index grid|rtree]
+//! hka-sim serve    [--addr HOST:PORT] [--seed N] [--commuters N] [--roamers N]
+//!                  [--k N] [--shards N] [--index grid|rtree]
 //!                  [--journal FILE] [--inflight N] [--slo] [--gw-stats]
 //! hka-sim serve-drill [--journal FILE] [--audit-tail] [--chaos SEED]
 //!                  [--checkpoint-every N] [--truncate]
@@ -67,10 +67,12 @@
 //! canonical JSON report on exit — for a completed journal it is
 //! byte-identical to `audit --json` on the same file.
 //!
-//! `serve` exposes a protected world over TCP through the
-//! `hka-gateway` frontend (line-delimited JSON envelopes; see
-//! DESIGN.md §16 for the wire format). `--addr 127.0.0.1:0` (the
-//! default) binds an ephemeral port and prints the bound address.
+//! `serve` registers a world's population (its users and the
+//! commuters' LBQIDs, no simulated events, so startup does not depend
+//! on a day count) and exposes it over TCP through the `hka-gateway`
+//! frontend (line-delimited JSON envelopes; see DESIGN.md §16 for the
+//! wire format). `--addr 127.0.0.1:0` (the default) binds an
+//! ephemeral port and prints the bound address.
 //! The process serves until a client sends the wire `shutdown` op,
 //! then drains gracefully, flushes the journal, and exits 0; exit 1
 //! is a bind/journal/flush failure and exit 2 a usage error. With
@@ -184,10 +186,10 @@ fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default
     }
 }
 
-fn build_world(seed: u64, days: i64, commuters: usize, roamers: usize) -> World {
-    World::generate(&WorldConfig {
+/// The CLI's world: a 2 km city with `roamers / 10` POI regulars.
+fn world_config(seed: u64, commuters: usize, roamers: usize) -> WorldConfig {
+    WorldConfig {
         seed,
-        days,
         n_commuters: commuters,
         n_roamers: roamers,
         n_poi_regulars: roamers / 10,
@@ -197,19 +199,51 @@ fn build_world(seed: u64, days: i64, commuters: usize, roamers: usize) -> World 
             ..CityConfig::default()
         },
         ..WorldConfig::default()
+    }
+}
+
+fn build_world(seed: u64, days: i64, commuters: usize, roamers: usize) -> World {
+    World::generate(&WorldConfig {
+        days,
+        ..world_config(seed, commuters, roamers)
     })
 }
 
-fn protected_server(world: &World, k: usize, backend: IndexBackend) -> TrustedServer {
-    let mut ts = TrustedServer::new(TsConfig {
-        backend,
-        ..TsConfig::default()
-    });
-    ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
-    ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
-    let commuters: Vec<UserId> = world.commuters().collect();
+/// The registration calls the sequential server and the sharded
+/// frontend share, so [`register_world`] serves both.
+trait Register {
+    fn service(&mut self, service: ServiceId, tolerance: Tolerance);
+    fn user(&mut self, user: UserId, level: PrivacyLevel);
+    fn lbqid(&mut self, user: UserId, lbqid: Lbqid);
+}
+
+macro_rules! impl_register {
+    ($($server:ty),*) => {$(
+        impl Register for $server {
+            fn service(&mut self, service: ServiceId, tolerance: Tolerance) {
+                self.register_service(service, tolerance);
+            }
+            fn user(&mut self, user: UserId, level: PrivacyLevel) {
+                self.register_user(user, level);
+            }
+            fn lbqid(&mut self, user: UserId, lbqid: Lbqid) {
+                self.add_lbqid(user, lbqid);
+            }
+        }
+    )*};
+}
+
+impl_register!(TrustedServer, ShardedTs);
+
+/// Registers `world`'s population: both service classes, then every
+/// agent in id order (commuters protected at `k`, everyone else off),
+/// then each commuter's commute LBQID. The journal bytes depend on this
+/// call order. Linear in the agents: the home/office lookups are O(1).
+fn register_world(ts: &mut impl Register, world: &World, k: usize) {
+    ts.service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
+    ts.service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
     for agent in &world.agents {
-        let level = if commuters.contains(&agent.user) {
+        let level = if matches!(agent.role, Role::Commuter { .. }) {
             PrivacyLevel::Custom(PrivacyParams {
                 k,
                 theta: 0.5,
@@ -220,14 +254,21 @@ fn protected_server(world: &World, k: usize, backend: IndexBackend) -> TrustedSe
         } else {
             PrivacyLevel::Off
         };
-        ts.register_user(agent.user, level);
+        ts.user(agent.user, level);
     }
-    for &u in &commuters {
-        ts.add_lbqid(
-            u,
-            Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
-        );
+    for u in world.commuters() {
+        let home = world.home_of(u).expect("every commuter has a home");
+        let office = world.office_of(u).expect("every commuter has an office");
+        ts.lbqid(u, Lbqid::example_commute(home, office));
     }
+}
+
+fn protected_server(world: &World, k: usize, backend: IndexBackend) -> TrustedServer {
+    let mut ts = TrustedServer::new(TsConfig {
+        backend,
+        ..TsConfig::default()
+    });
+    register_world(&mut ts, world, k);
     ts
 }
 
@@ -240,29 +281,7 @@ fn protected_sharded(world: &World, k: usize, shards: usize, backend: IndexBacke
         },
         shards,
     );
-    ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
-    ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
-    let commuters: Vec<UserId> = world.commuters().collect();
-    for agent in &world.agents {
-        let level = if commuters.contains(&agent.user) {
-            PrivacyLevel::Custom(PrivacyParams {
-                k,
-                theta: 0.5,
-                k_init: 2 * k,
-                k_decrement: 1,
-                on_risk: RiskAction::Forward,
-            })
-        } else {
-            PrivacyLevel::Off
-        };
-        ts.register_user(agent.user, level);
-    }
-    for &u in &commuters {
-        ts.add_lbqid(
-            u,
-            Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
-        );
-    }
+    register_world(&mut ts, world, k);
     ts
 }
 
@@ -1489,7 +1508,6 @@ fn cmd_serve_drill(flags: HashMap<String, String>) {
 /// journal, or flush failure; `2` — usage error.
 fn cmd_serve(flags: HashMap<String, String>) {
     let seed = get(&flags, "seed", 1u64);
-    let days = get(&flags, "days", 2i64);
     let commuters = get(&flags, "commuters", 6usize);
     let roamers = get(&flags, "roamers", 30usize);
     let k = get(&flags, "k", 4usize);
@@ -1510,7 +1528,9 @@ fn cmd_serve(flags: HashMap<String, String>) {
         })
     };
 
-    let world = build_world(seed, days, commuters, roamers);
+    // Like the paper's trusted server, serve starts out knowing only its
+    // users and their LBQIDs; every PHL comes from wire `loc` frames.
+    let world = World::population(&world_config(seed, commuters, roamers));
     let service: Box<dyn RequestService + Send> = if shards > 1 {
         let mut ts = protected_sharded(&world, k, shards, backend);
         if let Some(path) = journal_path {

@@ -112,8 +112,8 @@ pub mod prelude {
         JournalHealth, MixZoneConfig, MixZoneManager, PrivacyIndicator, PrivacyLevel,
         PrivacyParams, RandomizeConfig, Randomizer, RecoveredCheckpoint, RequestEnvelope,
         RequestOutcome, RequestService, ResponseEnvelope, RetryPolicy, RiskAction, ServerMeta,
-        ServerMode, SharedTrustedServer, Tolerance, TrustedServer, TsConfig, TsError, TsEvent,
-        TsStats, UnlinkDecision, WireError, WireMsg, WireOutcome, WireReply,
+        ServerMode, Tolerance, TrustedServer, TsConfig, TsError, TsEvent, TsStats, UnlinkDecision,
+        WireError, WireMsg, WireOutcome, WireReply,
     };
     pub use hka_faults::{
         checkpoint_chaos_plan, gateway_chaos_plan, randomized_plan, tail_chaos_plan, FaultInjector,

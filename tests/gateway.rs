@@ -299,22 +299,20 @@ fn gateway_chaos_drill_never_fails_open() {
     );
 }
 
-/// `hka-sim serve` end to end: the subprocess binds an ephemeral port,
-/// serves a real client session, drains on the wire `shutdown` op, and
-/// exits 0 with a verifiable journal on disk.
-#[test]
-fn serve_cli_round_trips_and_exits_clean() {
+/// Runs one `hka-sim serve --days DAYS` session: binds, serves a small
+/// fixed client session, and shuts down over the wire. Returns the
+/// banner with its ephemeral address cut out and everything serve
+/// printed after it.
+fn serve_session(days: &str, journal: &std::path::Path) -> (String, String) {
     use std::io::BufRead;
 
-    let dir = TempDir::new("serve");
-    let journal = dir.0.join("serve.jsonl");
     let mut child = Command::new(env!("CARGO_BIN_EXE_hka-sim"))
         .args([
             "serve",
             "--seed",
             "3",
             "--days",
-            "1",
+            days,
             "--commuters",
             "3",
             "--roamers",
@@ -332,12 +330,11 @@ fn serve_cli_round_trips_and_exits_clean() {
     let mut banner = String::new();
     stdout.read_line(&mut banner).unwrap();
     assert!(banner.starts_with("serving on "), "{banner}");
-    let addr: std::net::SocketAddr = banner
+    let (addr, users) = banner
         .strip_prefix("serving on ")
-        .and_then(|s| s.split_whitespace().next())
-        .expect("banner carries the address")
-        .parse()
-        .expect("parseable address");
+        .and_then(|s| s.split_once(' '))
+        .expect("banner carries the address");
+    let addr: std::net::SocketAddr = addr.parse().expect("parseable address");
 
     let mut client = GatewayClient::connect(addr).unwrap();
     // Users 0..N exist; user 0 may or may not be protected — bind only
@@ -367,9 +364,42 @@ fn serve_cli_round_trips_and_exits_clean() {
     assert_eq!(status.code(), Some(0), "clean wire shutdown exits 0");
     let mut rest = String::new();
     std::io::Read::read_to_string(&mut stdout, &mut rest).unwrap();
+    (users.to_string(), rest)
+}
+
+/// `hka-sim serve` end to end: the subprocess binds an ephemeral port,
+/// serves a real client session, drains on the wire `shutdown` op, and
+/// exits 0 with a verifiable journal on disk.
+#[test]
+fn serve_cli_round_trips_and_exits_clean() {
+    let dir = TempDir::new("serve");
+    let journal = dir.0.join("serve.jsonl");
+    let (_, rest) = serve_session("1", &journal);
     assert!(rest.contains("served 1 connection(s)"), "{rest}");
 
     let file = std::fs::File::open(&journal).unwrap();
     let report = obs::verify_chain(std::io::BufReader::new(file)).expect("serve journal verifies");
     assert!(!report.records.is_empty());
+}
+
+/// Serve registers only the population, so its startup cannot depend on
+/// `--days`: a 10 000-day world (minutes of event synthesis) serves the
+/// same users as a 1-day one, and the same wire stream journals the same
+/// bytes.
+#[test]
+fn serve_startup_does_not_depend_on_days() {
+    let dir = TempDir::new("serve-days");
+    let short = dir.0.join("short.jsonl");
+    let long = dir.0.join("long.jsonl");
+    let (banner_short, rest_short) = serve_session("1", &short);
+    let (banner_long, rest_long) = serve_session("10000", &long);
+    assert_eq!(banner_short, banner_long);
+    assert!(banner_short.contains("(16 users, k = 4)"), "{banner_short}");
+    assert_eq!(
+        rest_short.replace(short.to_str().unwrap(), ""),
+        rest_long.replace(long.to_str().unwrap(), "")
+    );
+    let short = std::fs::read(&short).unwrap();
+    assert!(!short.is_empty());
+    assert_eq!(short, std::fs::read(&long).unwrap(), "journals differ");
 }
