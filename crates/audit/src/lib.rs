@@ -600,7 +600,7 @@ mod tests {
         snap.set_section(AUDIT_SECTION, auditor.to_state());
         let file = format!("checkpoint-{records:06}.snap");
         let snap_path = dir.join(&file);
-        let hash = hka_obs::checkpoint::write_atomic(&snap, &snap_path).unwrap();
+        let hash = hka_obs::checkpoint::write_atomic(&snap, &snap_path, |_| None).unwrap();
 
         let mut j = Journal::resume(bytes, records, head.clone());
         j.append(

@@ -1,5 +1,5 @@
 //! Criterion microbenches: spatio-temporal index queries, one series
-//! per [`SpatialIndex`] backend (grid, R-tree, and the brute oracle all
+//! per [`SpatialIndex`] backend (the grid and the brute oracle both
 //! answer through the same trait).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

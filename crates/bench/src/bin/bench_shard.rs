@@ -24,7 +24,7 @@
 //! not just a slow run.
 //!
 //! ```text
-//! cargo run --release -p hka-bench --bin bench_shard -- [--out DIR] [--index grid|rtree]
+//! cargo run --release -p hka-bench --bin bench_shard -- [--out DIR] [--index grid|brute]
 //! ```
 //!
 //! `--index` selects the [`SpatialIndex`] backend behind Algorithm 1 on
@@ -257,13 +257,13 @@ fn main() {
             }
             "--index" if i + 1 < args.len() => {
                 backend = IndexBackend::parse(&args[i + 1]).unwrap_or_else(|| {
-                    eprintln!("unknown backend '{}' (use grid|rtree|brute)", args[i + 1]);
+                    eprintln!("unknown backend '{}' (use grid|brute)", args[i + 1]);
                     std::process::exit(2);
                 });
                 i += 2;
             }
             other => {
-                eprintln!("usage: bench_shard [--out DIR] [--index grid|rtree] (got '{other}')");
+                eprintln!("usage: bench_shard [--out DIR] [--index grid|brute] (got '{other}')");
                 std::process::exit(2);
             }
         }

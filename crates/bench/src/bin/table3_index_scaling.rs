@@ -9,13 +9,13 @@
 //!
 //! We grow n (total location points) by lengthening the simulation and
 //! population, and time the first-element branch under every
-//! [`SpatialIndex`] backend over the same query sample — all three run
-//! the *same* `algorithm1_first` code through the trait, so the timing
-//! differences are purely the index structures. The scaling exponent is
+//! [`SpatialIndex`] backend over the same query sample — both run the
+//! *same* `algorithm1_first` code through the trait, so the timing
+//! difference is purely the index structure. The scaling exponent is
 //! estimated from successive size doublings.
 //!
 //! ```text
-//! cargo run --release -p hka-bench --bin table3_index_scaling [-- --backends grid,rtree,brute]
+//! cargo run --release -p hka-bench --bin table3_index_scaling [-- --backends grid,brute]
 //! ```
 
 use hka_bench::{median, parse_backends, time_ns, Cell, Report};

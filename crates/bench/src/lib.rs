@@ -195,7 +195,7 @@ pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
 }
 
-/// Parses a `--backends grid,rtree,soa,brute` argument out of a raw
+/// Parses a `--backends grid,brute` argument out of a raw
 /// argument stream (the bench bins are dependency-free, so no clap).
 /// Absent the flag, all backends are compared — oracle last. Unknown
 /// names abort with exit code 2 so CI misconfigurations fail loudly.
@@ -208,7 +208,7 @@ pub fn parse_backends(args: impl IntoIterator<Item = String>) -> Vec<IndexBacken
                 .split(',')
                 .map(|name| {
                     IndexBackend::parse(name.trim()).unwrap_or_else(|| {
-                        eprintln!("unknown backend '{name}' (use grid|rtree|soa|brute)");
+                        eprintln!("unknown backend '{name}' (use grid|brute)");
                         std::process::exit(2);
                     })
                 })

@@ -61,7 +61,8 @@ use hka_audit::AuditConfig;
 use hka_faults::{sites, FaultInjector, FaultKind};
 use hka_geo::{Point, Rect, TimeSec};
 use hka_obs::checkpoint::{
-    anchor_payload, scan_anchors, sync_parent_dir, truncate_to_anchor, CheckpointAnchor, Snapshot,
+    anchor_payload, scan_anchors, truncate_to_anchor, write_atomic, CheckpointAnchor, Snapshot,
+    WriteFault, WriteStep,
 };
 use hka_obs::{Json, CHECKPOINT_KIND};
 use hka_trajectory::UserId;
@@ -614,14 +615,27 @@ impl Checkpointer {
         Ok(audit_state)
     }
 
-    /// Publishes a fully-built snapshot atomically under the checkpoint
-    /// directory (temp file + fsync + rename, `snapshot.write` /
-    /// `snapshot.rename` fault sites); returns `(path, content hash,
-    /// bytes)`. The journal is untouched — the caller appends the
-    /// anchor, and until it does the file is an orphan recovery ignores.
+    /// Publishes a fully-built snapshot under the checkpoint directory
+    /// through [`write_atomic`], with fault injection at
+    /// `snapshot.write` (which may tear the temp file) and
+    /// `snapshot.rename` (which orphans a fully-written temp); either
+    /// failure leaves the published snapshot path untouched. Returns
+    /// `(path, content hash, bytes)`. The journal is untouched — the
+    /// caller appends the anchor, and until it does the file is an
+    /// orphan recovery ignores.
     pub fn publish_snapshot(&self, snapshot: &Snapshot) -> io::Result<(PathBuf, String, u64)> {
+        std::fs::create_dir_all(&self.dir)?;
         let path = self.snapshot_path(snapshot.records);
-        let hash = self.write_staged(snapshot, &path)?;
+        let hash = write_atomic(snapshot, &path, |step| {
+            let site = match step {
+                WriteStep::Write => sites::SNAPSHOT_WRITE,
+                WriteStep::Rename => sites::SNAPSHOT_RENAME,
+            };
+            Some(match self.check(site)? {
+                FaultKind::Torn => WriteFault::Torn(injected(site)),
+                _ => WriteFault::Fail(injected(site)),
+            })
+        })?;
         let bytes = std::fs::metadata(&path)?.len();
         Ok((path, hash, bytes))
     }
@@ -653,37 +667,6 @@ impl Checkpointer {
     /// Counts a failed checkpoint attempt (`ts.checkpoint_failures`).
     pub fn note_failed(&self) {
         hka_obs::global().counter("ts.checkpoint_failures").incr();
-    }
-
-    /// Stages the snapshot atomically: temp file + fsync + rename +
-    /// directory fsync, with fault injection at `snapshot.write` (which
-    /// may tear the temp file) and `snapshot.rename` (which orphans a
-    /// fully-written temp).
-    /// Either failure leaves the published snapshot path untouched.
-    fn write_staged(&self, snapshot: &Snapshot, path: &Path) -> io::Result<String> {
-        std::fs::create_dir_all(&self.dir)?;
-        let text = snapshot.encode();
-        let tmp = path.with_extension("tmp");
-        match self.check(sites::SNAPSHOT_WRITE) {
-            Some(FaultKind::Torn) => {
-                std::fs::write(&tmp, &text.as_bytes()[..text.len() / 2])?;
-                return Err(injected(sites::SNAPSHOT_WRITE));
-            }
-            Some(_) => return Err(injected(sites::SNAPSHOT_WRITE)),
-            None => {}
-        }
-        {
-            use std::io::Write;
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(text.as_bytes())?;
-            file.sync_data()?;
-        }
-        if self.check(sites::SNAPSHOT_RENAME).is_some() {
-            return Err(injected(sites::SNAPSHOT_RENAME));
-        }
-        std::fs::rename(&tmp, path)?;
-        sync_parent_dir(path)?;
-        Ok(snapshot.content_hash())
     }
 
     /// Truncates the journal prefix behind the just-written anchor.

@@ -709,7 +709,7 @@ impl EventLog {
     /// The retained events, oldest first. When more than the capacity
     /// have been pushed this is the most recent tail (see
     /// [`EventLog::dropped`]); `stats()` still covers everything.
-    pub fn events(&self) -> impl ExactSizeIterator<Item = &TsEvent> + Clone {
+    pub fn events(&self) -> impl ExactSizeIterator<Item = &TsEvent> + DoubleEndedIterator + Clone {
         self.ring.iter()
     }
 

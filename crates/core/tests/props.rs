@@ -125,11 +125,9 @@ proptest! {
         };
         let oracle = IndexBackend::Brute.build(&store, cfg);
         let want = algorithm1_first(oracle.as_ref(), &seed, UserId(0), k, &tolerance);
-        for backend in [IndexBackend::Grid, IndexBackend::RTree] {
-            let index = backend.build(&store, cfg);
-            let got = algorithm1_first(index.as_ref(), &seed, UserId(0), k, &tolerance);
-            prop_assert_eq!(&got, &want, "{} vs brute oracle", backend);
-        }
+        let index = IndexBackend::Grid.build(&store, cfg);
+        let got = algorithm1_first(index.as_ref(), &seed, UserId(0), k, &tolerance);
+        prop_assert_eq!(&got, &want, "grid vs brute oracle");
     }
 
     /// Subsequent branch: selection is always a subset of the stored

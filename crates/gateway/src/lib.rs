@@ -829,18 +829,54 @@ mod tests {
         gw.shutdown();
     }
 
+    /// A backend whose `submit` blocks until the test drops the gate's
+    /// sender, so the gateway's service thread provably stops draining
+    /// its queue.
+    struct GatedService {
+        inner: Box<dyn RequestService + Send>,
+        gate: Receiver<()>,
+    }
+
+    impl RequestService for GatedService {
+        fn submit(&mut self, env: &RequestEnvelope) {
+            let _ = self.gate.recv();
+            self.inner.submit(env);
+        }
+        fn drain(&mut self) -> Vec<ResponseEnvelope> {
+            self.inner.drain()
+        }
+        fn mode(&self) -> ServerMode {
+            self.inner.mode()
+        }
+        fn pseudonym_of(&self, user: UserId) -> Option<hka_anonymity::Pseudonym> {
+            self.inner.pseudonym_of(user)
+        }
+        fn flush_journal(&mut self) -> io::Result<()> {
+            self.inner.flush_journal()
+        }
+        // The test's config has no SLO watchdog and no stats records.
+        fn note_slo_events(&mut self, _: &[hka_obs::SloEvent]) {}
+        fn note_gateway_stats(&mut self, _: u64, _: u64, _: u64) {}
+    }
+
     #[test]
     fn overload_answers_suppressed_at_degraded_never_forwarded() {
-        // A 1-deep queue with a single slow drain cycle: flood it and
-        // check every refusal is fail-closed.
+        // The service thread blocks inside the first `submit`, so with a
+        // 1-deep queue at most one more request is accepted: every other
+        // request of the flood must be refused as overload.
+        let (release, gate) = mpsc::channel();
+        let service = GatedService {
+            inner: backend(2),
+            gate,
+        };
         let config = GatewayConfig {
             inflight: 1,
             batch: 1,
             ..GatewayConfig::default()
         };
-        let gw = Gateway::spawn("127.0.0.1:0", backend(2), config).unwrap();
+        let gw = Gateway::spawn("127.0.0.1:0", Box::new(service), config).unwrap();
         let mut client = GatewayClient::connect(gw.addr()).unwrap();
-        let n = 200u64;
+        let n = 20u64;
         for i in 0..n {
             client
                 .send_env(&RequestEnvelope::request(
@@ -851,7 +887,18 @@ mod tests {
                 ))
                 .unwrap();
         }
-        let responses = client.drain_responses(n as usize).unwrap();
+        // One request sits in the blocked `submit` and at most one in
+        // the queue, so at least n - 2 replies arrive before the gate
+        // opens — and only a refusal can be answered meanwhile.
+        let mut responses = Vec::new();
+        for _ in 2..n {
+            match client.recv_reply().unwrap() {
+                WireReply::Resp(r) if r.detail == "overload" => responses.push(r),
+                other => panic!("expected an overload refusal, got {other:?}"),
+            }
+        }
+        drop(release);
+        responses.extend(client.drain_responses(2).unwrap());
         assert_eq!(responses.len(), n as usize);
         let overloads = responses
             .iter()

@@ -156,20 +156,60 @@ impl Snapshot {
     }
 }
 
+/// A step of [`write_atomic`] at which its fault hook is consulted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WriteStep {
+    /// Before the temp file is written and fsynced.
+    Write,
+    /// Before the fsynced temp file is renamed over the target.
+    Rename,
+}
+
+/// A failure a fault hook injects into [`write_atomic`].
+#[derive(Debug)]
+pub enum WriteFault {
+    /// The step fails without touching the disk.
+    Fail(io::Error),
+    /// At [`WriteStep::Write`], half the bytes reach the temp file
+    /// before the step fails — a crash mid-write. At
+    /// [`WriteStep::Rename`] it acts as [`WriteFault::Fail`].
+    Torn(io::Error),
+}
+
 /// Writes `snapshot` to `path` crash-safely: the canonical bytes go to
 /// a sibling temp file, are fsynced, and the temp file is atomically
 /// renamed over `path`, and the directory is fsynced so the rename
 /// itself is durable. A crash at any point leaves either the old file
 /// (or nothing) or the complete new file — never a torn snapshot at the
 /// final path. Returns the content hash of the written bytes.
-pub fn write_atomic(snapshot: &Snapshot, path: &Path) -> io::Result<String> {
+///
+/// `fault` is asked before each [`WriteStep`]; returning a
+/// [`WriteFault`] makes that step fail the way a crash there would
+/// (pass `|_| None` for a plain write). Either failure leaves `path`
+/// untouched.
+pub fn write_atomic(
+    snapshot: &Snapshot,
+    path: &Path,
+    mut fault: impl FnMut(WriteStep) -> Option<WriteFault>,
+) -> io::Result<String> {
     let bytes = snapshot.encode();
     let tmp = path.with_extension("tmp");
+    match fault(WriteStep::Write) {
+        Some(WriteFault::Torn(e)) => {
+            std::fs::write(&tmp, &bytes.as_bytes()[..bytes.len() / 2])?;
+            return Err(e);
+        }
+        Some(WriteFault::Fail(e)) => return Err(e),
+        None => {}
+    }
     {
         use std::io::Write;
         let mut file = std::fs::File::create(&tmp)?;
         file.write_all(bytes.as_bytes())?;
         file.sync_data()?;
+    }
+    if let Some(WriteFault::Fail(e) | WriteFault::Torn(e)) = fault(WriteStep::Rename) {
+        return Err(e);
     }
     std::fs::rename(&tmp, path)?;
     sync_parent_dir(path)?;
@@ -424,7 +464,7 @@ mod tests {
         let path = dir.join("checkpoint-1.snap");
         let mut snap = Snapshot::new(1, "cc".repeat(32));
         snap.set_section("y", Json::Int(2));
-        let hash = write_atomic(&snap, &path).unwrap();
+        let hash = write_atomic(&snap, &path, |_| None).unwrap();
         assert_eq!(hash, snap.content_hash());
         assert_eq!(Snapshot::read(&path).unwrap(), (snap, hash));
         assert!(!path.with_extension("tmp").exists());
@@ -438,7 +478,7 @@ mod tests {
         let tmp = TempPath::new("atomic");
         let mut snap = Snapshot::new(3, "bb".repeat(32));
         snap.set_section("x", Json::Int(1));
-        let hash = write_atomic(&snap, &tmp.0).unwrap();
+        let hash = write_atomic(&snap, &tmp.0, |_| None).unwrap();
         assert_eq!(hash, snap.content_hash());
         let (read_back, file_hash) = Snapshot::read(&tmp.0).unwrap();
         assert_eq!(read_back, snap);

@@ -46,8 +46,8 @@ impl<T> RingBuffer<T> {
         evicted
     }
 
-    /// Elements currently held, oldest first.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = &T> + Clone {
+    /// Elements currently held, oldest first (`.rev()`: newest first).
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &T> + DoubleEndedIterator + Clone {
         self.buf.iter()
     }
 

@@ -1253,7 +1253,7 @@ impl hka_core::RequestService for ShardedTs {
 
     /// Flushes the pipeline and maps settled outcomes back to their
     /// envelopes. `k_got` is recovered by aligning the drain's
-    /// forwarded outcomes (position order) with the log's most recent
+    /// forwarded outcomes (position order) with the log's newest
     /// `ts.forwarded` events (canonical order — the same order); if
     /// the ring has already evicted an event the response carries 0,
     /// with the journal record staying authoritative.
@@ -1263,21 +1263,23 @@ impl hka_core::RequestService for ShardedTs {
             .iter()
             .filter(|(_, _, r)| matches!(r, Ok(RequestOutcome::Forwarded(_))))
             .count();
-        let mut k_gots: std::collections::VecDeque<(UserId, u64)> =
-            std::collections::VecDeque::with_capacity(forwarded);
-        for ev in self.co.log.events() {
-            if let hka_core::TsEvent::Forwarded { user, k_got, .. } = ev {
-                if k_gots.len() == forwarded {
-                    k_gots.pop_front();
-                }
-                k_gots.push_back((*user, *k_got as u64));
-            }
-        }
+        // Newest first, stopping at the drain's count; `pop` yields oldest first.
+        let mut k_gots: Vec<(UserId, u64)> = self
+            .co
+            .log
+            .events()
+            .rev()
+            .filter_map(|ev| match ev {
+                hka_core::TsEvent::Forwarded { user, k_got, .. } => Some((*user, *k_got as u64)),
+                _ => None,
+            })
+            .take(forwarded)
+            .collect();
         let mut responses = Vec::with_capacity(outcomes.len());
         for (pos, user, result) in &outcomes {
             let (req_id, trace) = self.svc_pending.remove(pos).unwrap_or((*pos, 0));
             let k_got = match result {
-                Ok(RequestOutcome::Forwarded(_)) => match k_gots.pop_front() {
+                Ok(RequestOutcome::Forwarded(_)) => match k_gots.pop() {
                     Some((u, k)) if u == *user => k,
                     _ => 0,
                 },
@@ -1554,6 +1556,56 @@ mod tests {
             assert!(out.chain.verified(), "{site}: {:?}", out.chain.error);
             assert!(out.ok(), "{site}: {:?}", out.violations);
         }
+    }
+
+    /// `drain` recovers each forward's `k_got` from the newest end of
+    /// the event ring. On a ring far smaller than the run, wrapped many
+    /// times over, every drained response must still carry the `k_got`
+    /// of its journal `ts.forwarded` record.
+    #[test]
+    fn drained_k_got_matches_the_journal_after_the_ring_wraps() {
+        use hka_core::{RequestEnvelope, RequestService, WireOutcome};
+        let dir = TempDir::new("kgot");
+        let journal = dir.0.join("journal.jsonl");
+        let mut ts = ShardedTs::new(TsConfig::default(), 3);
+        ts.co.log = EventLog::with_capacity(128);
+        ts.attach_journal(durable_file_journal(&journal));
+        ts.register_service(ServiceId(1), Tolerance::new(1e8, 7_200));
+        let area = Rect::from_bounds(0.0, 0.0, 1_000.0, 1_000.0);
+        for u in 0..10u64 {
+            ts.register_user(UserId(u), PrivacyLevel::Medium);
+            ts.add_lbqid(UserId(u), Lbqid::example_commute(area, area));
+        }
+        let mut responses = Vec::new();
+        for round in 0..60i64 {
+            let t = TimeSec::at_hm(0, 7, 0).0 + 120 * round;
+            for u in 0..10u64 {
+                let req = (round as u64 * 10 + u) * 2;
+                let x = 100.0 + 7.0 * u as f64 + round as f64;
+                let at = sp(x, 200.0 + 3.0 * u as f64, t);
+                RequestService::submit(&mut ts, &RequestEnvelope::location(req, UserId(u), at));
+                let at = sp(x, 200.0, t + 60);
+                let env = RequestEnvelope::request(req + 1, UserId(u), at, ServiceId(1));
+                RequestService::submit(&mut ts, &env);
+            }
+            responses.extend(RequestService::drain(&mut ts));
+        }
+        ts.flush_journal().unwrap();
+        assert!(ts.log().dropped() > 0, "the run wraps the event ring");
+
+        let drained: Vec<u64> = responses
+            .iter()
+            .filter(|r| r.outcome == WireOutcome::Forwarded)
+            .map(|r| r.k_got)
+            .collect();
+        let bytes = std::fs::read(&journal).unwrap();
+        let journaled: Vec<u64> = hka_obs::JournalReader::new(&bytes[..])
+            .map(|r| r.unwrap())
+            .filter(|r| r.kind == "ts.forwarded")
+            .map(|r| r.payload.get("k_got").and_then(|k| k.as_int()).unwrap() as u64)
+            .collect();
+        assert_eq!(drained, journaled);
+        assert!(drained.iter().any(|&k| k > 0), "some forwards generalized");
     }
 
     #[test]

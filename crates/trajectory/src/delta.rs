@@ -468,7 +468,7 @@ mod tests {
 
     #[test]
     fn invalidation_drops_state_and_applies_become_noops() {
-        let mut union = UnionIndex::new(IndexBackend::RTree, GridIndexConfig::default(), 2);
+        let mut union = UnionIndex::new(IndexBackend::Brute, GridIndexConfig::default(), 2);
         let mut store = TrajectoryStore::new();
         store.record(UserId(1), sp(1.0, 1.0, 0));
         union.rebuild([&store], 2);

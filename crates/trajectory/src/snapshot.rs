@@ -15,7 +15,7 @@
 //! global answer, and re-ranking by the same `(distance, user id)` key
 //! then truncating to k reproduces the single-index result bit for bit.
 //! Because all backends share the [`SpatialIndex`] answer contract,
-//! the partitions may even mix backends (say, grid next to R-tree) and
+//! the partitions may even mix backends (say, grid next to brute) and
 //! the merge stays exact — the per-partition answers are re-scored
 //! here under each partition's own scale.
 //!
@@ -279,7 +279,7 @@ mod tests {
 
     #[test]
     fn mixed_backend_partitions_match_single_index() {
-        // One grid partition next to one R-tree and one brute partition:
+        // One grid partition next to one brute partition:
         // the union must still reproduce the single-index answer, which
         // is exactly what lets a sharded run mix-and-match backends.
         let cfg = GridIndexConfig::default();

@@ -134,7 +134,7 @@ pub mod prelude {
     pub use hka_trajectory::io::{read_store, write_store};
     pub use hka_trajectory::{
         brute, BruteIndex, CompactionPolicy, CompactionStats, GridIndex, GridIndexConfig,
-        IndexBackend, IndexDelta, IndexSnapshot, Phl, RTreeIndex, SoaIndex, SpatialIndex,
-        TrajectoryStore, UnionIndex, UserId,
+        IndexBackend, IndexDelta, IndexSnapshot, Phl, SpatialIndex, TrajectoryStore, UnionIndex,
+        UserId,
     };
 }

@@ -98,9 +98,9 @@ fn index_backend_is_observationally_invariant() {
     let dir = std::env::temp_dir().join("hka-cli-index-test");
     std::fs::create_dir_all(&dir).unwrap();
     let grid = dir.join("grid.journal");
-    let rtree = dir.join("rtree.journal");
+    let brute = dir.join("brute.journal");
     let grid_s = grid.to_str().unwrap();
-    let rtree_s = rtree.to_str().unwrap();
+    let brute_s = brute.to_str().unwrap();
 
     let run = |index: &str, out: &str| {
         let (ok, stdout, stderr) = hka_sim(&[
@@ -122,7 +122,7 @@ fn index_backend_is_observationally_invariant() {
         stdout
     };
     let grid_stdout = run("grid", grid_s);
-    let rtree_stdout = run("rtree", rtree_s);
+    let brute_stdout = run("brute", brute_s);
 
     // The index backend is a pure query accelerator: switching it must
     // not move a single request between Forwarded and Suppressed, so
@@ -130,8 +130,8 @@ fn index_backend_is_observationally_invariant() {
     // byte for byte, and the summary lines agree.
     assert_eq!(
         std::fs::read(&grid).unwrap(),
-        std::fs::read(&rtree).unwrap(),
-        "grid and rtree journals must be byte-identical"
+        std::fs::read(&brute).unwrap(),
+        "grid and brute journals must be byte-identical"
     );
     // Summaries agree too, modulo the line naming the output path.
     let strip = |s: &str| -> String {
@@ -140,18 +140,26 @@ fn index_backend_is_observationally_invariant() {
             .collect::<Vec<_>>()
             .join("\n")
     };
-    assert_eq!(strip(&grid_stdout), strip(&rtree_stdout));
+    assert_eq!(strip(&grid_stdout), strip(&brute_stdout));
 
-    // The rtree-backed run passes the full audit on its own merits.
-    let (ok, stdout, stderr) = hka_sim(&["audit", "--journal", rtree_s]);
+    // The brute-backed run passes the full audit on its own merits.
+    let (ok, stdout, stderr) = hka_sim(&["audit", "--journal", brute_s]);
     assert!(ok, "{stderr}");
     assert!(stdout.contains("chain: VERIFIED"));
     assert!(stdout.contains("violations: none"));
 
-    // Unknown backends are a usage error, not a silent fallback.
-    let (ok, _, stderr) = hka_sim(&["simulate", "--days", "1", "--index", "quadtree"]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown index backend"));
+    // Unknown backends, the removed `rtree` and `soa` included, exit 2
+    // naming the two that exist: a usage error, not a silent fallback.
+    for gone in ["quadtree", "rtree", "soa"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hka-sim"))
+            .args(["simulate", "--days", "1", "--index", gone])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "--index {gone}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown index backend"), "{stderr}");
+        assert!(stderr.contains("grid|brute"), "{stderr}");
+    }
 }
 
 #[test]
